@@ -67,6 +67,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <fstream>
+#include <future>
 #include <iostream>
 #include <iterator>
 #include <map>
@@ -230,6 +231,41 @@ struct SimCluster {
                    });
     const auto response = serve::parse_response(future.get());
     return response ? *response : serve::Response{};
+  }
+
+  /// Wait until every submission so far has been answered — the point at
+  /// which `server.h` promises submitted == completed + shed. A `stats`
+  /// sentinel rides each backend's FIFO behind any heartbeat probe or
+  /// repair queued ahead of it; then every pool queue and every server
+  /// must read idle. Repeats, since a probe's recovery callback can queue
+  /// more repairs. Returns false if `timeout_s` passes first.
+  bool quiesce(double timeout_s = 5.0) {
+    const double deadline = steady_now_s() + timeout_s;
+    while (steady_now_s() < deadline) {
+      for (const std::string& name : pool->backends()) {
+        auto answered = std::make_shared<std::promise<void>>();
+        auto future = answered->get_future();
+        BackendPool::Forward sentinel;
+        sentinel.request.endpoint = serve::Endpoint::kStats;
+        sentinel.on_reply = [answered](std::string) { answered->set_value(); };
+        sentinel.on_failure = [answered] { answered->set_value(); };
+        // A refusal means the breaker is open: its queue was failed fast.
+        if (pool->enqueue(name, std::move(sentinel))) {
+          future.wait_for(std::chrono::duration<double>(
+              std::max(0.0, deadline - steady_now_s())));
+        }
+      }
+      bool idle = true;
+      for (const std::string& name : pool->backends()) {
+        idle = idle && pool->queue_idle(name);
+      }
+      for (const auto& [name, sim] : sims) {
+        idle = idle && sim.server->queue_depth() == 0 &&
+               sim.server->in_flight() == 0;
+      }
+      if (idle) return true;
+    }
+    return false;
   }
 
   /// The backend owning the most deployments — the worst-case victim for
@@ -463,10 +499,16 @@ int main(int argc, char** argv) {
                " goodput scales with the backend count until the router's"
                " forwarding loop saturates.\n";
 
-  // Exactly-once accounting shared by every load section: every submission
-  // came back, and the backends' ledgers reconcile.
+  // Exactly-once accounting shared by every load section, checked once the
+  // cluster is quiet: every submission came back, and the backends' ledgers
+  // reconcile.
   const auto check_load = [&healthy](SimCluster& cluster, const LoadResult& r,
                                      const char* context) {
+    if (!cluster.quiesce()) {
+      healthy = false;
+      std::cout << "NOT QUIESCENT (" << context
+                << "): backends still busy 5s after the load\n";
+    }
     if (r.sent != r.ok + r.non_ok) {
       healthy = false;
       std::cout << "LOST REPLIES (" << context << "): sent " << r.sent

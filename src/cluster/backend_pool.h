@@ -6,10 +6,13 @@
 /// a FIFO work queue. The worker drains the queue in batches over one
 /// pipelined connection (`send_async` × N, then `flush`), so a burst of
 /// forwarded requests costs one wire round trip — the same pipelining the
-/// single-server transports exploit. FIFO-per-backend is also a correctness
-/// lever: a snapshot install enqueued before a retried query is *guaranteed*
-/// to reach the backend first, which is how the router repairs
-/// `version-mismatch` without blocking.
+/// single-server transports exploit. FIFO-per-backend fixes *delivery*
+/// order: a snapshot install enqueued before a retried query reaches the
+/// backend first, which is how the router repairs `version-mismatch`
+/// without blocking. It does not fix *execution* order: a backend with
+/// several workers may run pipelined requests in any order, so a caller
+/// that depends on order (a mutation-log replay) must read the versions its
+/// replies report rather than assume the sequence it sent.
 ///
 /// Health is a circuit breaker per backend, driven by transport outcomes
 /// and heartbeat probes on the injectable clock:

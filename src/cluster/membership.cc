@@ -1,5 +1,6 @@
 #include "cluster/membership.h"
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <thread>
@@ -226,27 +227,39 @@ std::uint64_t MembershipController::replay_blocking(
     return version;
   }
   if (entries->empty()) return have_version;  // already current
+  // The suffix is pipelined down the backend's FIFO, which fixes delivery
+  // order but not execution order: a multi-worker backend may run `v+2`
+  // before `v+1` and answer it `version-mismatch`. Both `ok` and mismatch
+  // replies carry the version held when they executed, so the highest one
+  // reported is where the backend ended up — the caller re-sends from
+  // there (re-sends at or below the held version ack without re-applying).
   struct Latch {
     std::mutex mu;
     std::condition_variable cv;
     std::size_t outstanding = 0;
-    std::size_t ok = 0;
+    bool failed = false;
+    std::uint64_t reached = 0;
   };
   auto latch = std::make_shared<Latch>();
-  std::size_t sent = 0;
-  std::uint64_t reached = have_version;
+  latch->reached = have_version;
   for (const MutationLog::Entry& entry : *entries) {
     BackendPool::Forward forward;
     forward.request = replicator_->mutate_request(name, entry);
     forward.on_reply = [latch](std::string payload) {
       const auto response = serve::parse_response(payload);
       std::lock_guard<std::mutex> lock(latch->mu);
-      if (response && response->status == serve::Status::kOk) ++latch->ok;
+      if (response && (response->status == serve::Status::kOk ||
+                       response->status == serve::Status::kVersionMismatch)) {
+        latch->reached = std::max(latch->reached, response->version);
+      } else {
+        latch->failed = true;
+      }
       --latch->outstanding;
       latch->cv.notify_all();
     };
     forward.on_failure = [latch] {
       std::lock_guard<std::mutex> lock(latch->mu);
+      latch->failed = true;
       --latch->outstanding;
       latch->cv.notify_all();
     };
@@ -256,17 +269,16 @@ std::uint64_t MembershipController::replay_blocking(
     }
     if (!pool_->enqueue(backend, std::move(forward))) {
       std::lock_guard<std::mutex> lock(latch->mu);
+      latch->failed = true;
       --latch->outstanding;
       break;
     }
-    ++sent;
-    reached = entry.version;
   }
   std::unique_lock<std::mutex> lock(latch->mu);
   latch->cv.wait(lock, [&latch] { return latch->outstanding == 0; });
-  if (sent == 0 || latch->ok != sent) return 0;
+  if (latch->failed) return 0;
   metrics_->record_handoff_replay();
-  return reached;
+  return latch->reached;
 }
 
 AdminResult MembershipController::add(const std::string& backend) {
@@ -330,34 +342,40 @@ AdminResult MembershipController::add(const std::string& backend) {
     for (auto& [name, version] : shipped) {
       if (replicator_->version(name) == version) continue;
       current = false;
+      // `version + 1` applies in whatever order the round runs, so a round
+      // without progress means the joiner is not where the plan says.
       const std::uint64_t reached =
           replay_blocking(backend, name, version);
-      if (reached == 0) {
+      if (reached <= version) {
         return rollback("handoff replay of '" + name + "' to '" + backend +
                         "' failed; join rolled back");
       }
-      if (reached > version) ++replays;
+      ++replays;
       version = reached;
     }
     if (current) break;
   }
-  // Phase 3: the atomic flip. Writes are fenced out, so one final replay
-  // makes the joiner version-current; then activate (epoch bump) and drop
-  // every remapped deployment's cached responses in the same critical
+  // Phase 3: the atomic flip. Writes are fenced out, so the final catch-up
+  // rounds make the joiner version-current; then activate (epoch bump) and
+  // drop every remapped deployment's cached responses in the same critical
   // section — no request ever sees the new ring with a pre-flip cache.
   bool flipped = false;
   std::string flip_error;
   run_fenced([&] {
+    // No write enters under the fence and every round applies at least
+    // the lowest missing entry, so this loop ends at the log's version.
     for (auto& [name, version] : shipped) {
-      if (replicator_->version(name) == version) continue;
-      const std::uint64_t reached = replay_blocking(backend, name, version);
-      if (reached == 0 || replicator_->version(name) != reached) {
-        flip_error = "final catch-up of '" + name + "' on '" + backend +
-                     "' failed; join rolled back";
-        return;
+      while (replicator_->version(name) != version) {
+        const std::uint64_t reached =
+            replay_blocking(backend, name, version);
+        if (reached <= version) {
+          flip_error = "final catch-up of '" + name + "' on '" + backend +
+                       "' failed; join rolled back";
+          return;
+        }
+        ++replays;
+        version = reached;
       }
-      ++replays;
-      version = reached;
     }
     table_->activate(backend);
     for (const HashRing::Transfer& transfer : transfers) {

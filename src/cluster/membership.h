@@ -18,12 +18,13 @@
 ///    the joiner, compute the deterministic `HashRing::transfer_set` against
 ///    the prospective ring, ship snapshot installs + mutation-log suffixes
 ///    until the joiner is version-current, then — under the router's write
-///    fence, so no write straddles the flip — replay the final delta,
-///    activate (epoch bump), and invalidate the response cache for every
-///    remapped deployment. **drain**: flip the member out of the ring first
-///    (again under the write fence, with the same cache invalidation), hand
-///    its remapped ranges to the owners that gained them, wait for its FIFO
-///    to empty through `BackendPool`, then remove it.
+///    fence, so no write straddles the flip — replay the final delta until
+///    the joiner reports the log's version, activate (epoch bump), and
+///    invalidate the response cache for every remapped deployment.
+///    **drain**: flip the member out of the ring first (again under the
+///    write fence, with the same cache invalidation), hand its remapped
+///    ranges to the owners that gained them, wait for its FIFO to empty
+///    through `BackendPool`, then remove it.
 ///
 /// Quorum during a transition: the router reads one view per write while
 /// holding its write mutex, and both flips run inside that same mutex — so
@@ -162,9 +163,15 @@ class MembershipController {
   /// the installed version, 0 on failure.
   std::uint64_t install_blocking(const std::string& backend,
                                  const std::string& name);
-  /// Replay the mutation suffix above `have_version`, blocking for every
-  /// ack. Returns the version the backend reached, 0 on failure; falls back
-  /// to a snapshot install when the gap exceeds the retained window.
+  /// Pipeline the mutation suffix above `have_version`, blocking for every
+  /// reply. FIFO delivery does not fix execution order on a multi-worker
+  /// backend, so an entry may run before its predecessor and answer
+  /// `version-mismatch`; that reply carries the held version just as an
+  /// `ok` does. Returns the highest version the replies report — where the
+  /// backend ended up — or 0 on a transport failure or any other status.
+  /// The caller repeats from the returned version until it is current; a
+  /// round without progress is a failure. Falls back to a snapshot install
+  /// when the gap exceeds the retained window.
   std::uint64_t replay_blocking(const std::string& backend,
                                 const std::string& name,
                                 std::uint64_t have_version);

@@ -172,7 +172,8 @@ void Replicator::repair_backend(const std::string& backend,
   if (entries) {
     // Replay the missing suffix in order on the backend's FIFO. A reply
     // that is neither ok nor an idempotent skip means the backend raced a
-    // newer install or lost more state than the probe showed; the fence on
+    // newer install, lost more state than the probe showed, or (with
+    // several workers) ran an entry before its predecessor; the fence on
     // live traffic repairs that case.
     for (const MutationLog::Entry& entry : *entries) {
       BackendPool::Forward forward;

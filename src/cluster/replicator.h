@@ -14,8 +14,10 @@
 ///  * A backend whose deployment is older answers `version-mismatch`
 ///    (retryable) instead of silently serving stale beacons.
 ///  * The router repairs the mismatch by enqueueing a fresh install ahead
-///    of the retried query on the same backend FIFO — ordering, not
-///    locking, guarantees install-before-retry.
+///    of the retried query on the same backend FIFO. The FIFO delivers the
+///    install first; a backend with several workers may still run the
+///    retry first, which then answers `version-mismatch` again and is
+///    passed on as retryable.
 ///
 /// `sync_all()` pushes every deployment to all its ring owners and blocks
 /// until each install is acknowledged or failed (startup barrier).

@@ -301,8 +301,10 @@ void Router::handle_reply(const std::shared_ptr<CallState>& state,
         return;
       }
       state->repaired = true;
-      // Install-then-retry on the same backend FIFO: per-backend ordering
-      // guarantees the fresh snapshot lands before the retried request.
+      // Install-then-retry on the same backend FIFO, which delivers the
+      // fresh snapshot before the retried request. A multi-worker backend
+      // may still run the retry first; its second mismatch then reaches
+      // the client as retryable.
       BackendPool::Forward install;
       install.request = replicator_->install_request(state->request.field);
       install.on_reply = [this, backend](std::string install_payload) {
@@ -559,8 +561,10 @@ void Router::handle_mutation_reply(const std::shared_ptr<WriteState>& state,
     }
     if (first_repair) {
       // Install-then-retry on the same backend FIFO: the snapshot (at the
-      // log's *current* version, ≥ this mutation's) lands first, then the
-      // retried mutation collects an idempotent ack.
+      // log's *current* version, ≥ this mutation's) is delivered first, so
+      // the retried mutation collects an idempotent ack — unless a
+      // multi-worker backend runs the retry first, which then counts as
+      // this owner's failure.
       BackendPool::Forward install;
       install.request = replicator_->install_request(state->mutate.field);
       install.on_reply = [this, backend](std::string install_payload) {

@@ -39,9 +39,10 @@
 ///    the client decides.
 ///  * **Backend answers `version-mismatch`** (stale snapshot): the router
 ///    enqueues a fresh install followed by the original request on the
-///    same backend FIFO — per-backend ordering guarantees the install
-///    lands first. One repair per request; a second mismatch is forwarded
-///    to the client as the retryable status it is.
+///    same backend FIFO, which delivers the install first (a multi-worker
+///    backend may still execute the retry first). One repair per request;
+///    a second mismatch is forwarded to the client as the retryable status
+///    it is.
 ///  * **Backend answers `unavailable`** (backend shutting down): treated
 ///    like a transport failure — fail over if idempotent.
 ///

@@ -474,6 +474,18 @@ Response LocalizationService::install_snapshot(const Request& request) {
   // entry is never replaced once created).
   Deployment& deployment = *find_deployment(request.field);
   std::lock_guard<std::mutex> lock(deployment.mu);
+  if (request.version > 1 && request.version < deployment.version) {
+    // Stale: on a multi-worker server this install ran after mutations
+    // delivered behind it. Like `mutate` below the held version, ack at the
+    // held version — overwriting would move the replica backwards and drop
+    // acked writes. Version 1 is every log's base snapshot (a restarted
+    // router starts a new log there) and 0 is an unversioned install; both
+    // always replace.
+    Response response;
+    response.seq = request.seq;
+    response.version = deployment.version;
+    return response;
+  }
   try {
     deployment.field = std::move(*parsed);
     deployment.model = PerBeaconNoiseModel(config_.nominal_range,

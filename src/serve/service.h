@@ -90,7 +90,9 @@ class LocalizationService {
   /// delivery re-collects the original ack instead of re-applying.
   void record_dedup_locked(Deployment& deployment, std::uint64_t request_id,
                            std::uint64_t version, const Response& response);
-  /// Snapshot request carrying a field body: install it (replica sync).
+  /// Snapshot request carrying a field body: install it (replica sync). An
+  /// install above version 1 but below the held version is stale and acks
+  /// at the held version without replacing anything.
   Response install_snapshot(const Request& request);
 
   ServiceConfig config_;

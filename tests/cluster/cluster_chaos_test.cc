@@ -321,6 +321,29 @@ void drain_backend_fifo(FaultCluster& cluster, const std::string& backend) {
   // failed fast when it tripped.
 }
 
+/// Block until no backend has work left: the admission identity holds
+/// "after drain", not while a heartbeat probe from the last `tick()` is
+/// still in flight. Also, a backend applies a repair before the pool worker
+/// runs the ack callback that counts it, so install/replay counters are
+/// final only here. `queue_idle` alone misses a probe that `tick()` has
+/// marked pending but no worker has started, so a sentinel goes through
+/// every FIFO first. Repeats, because a recovery callback can queue version
+/// probes and repairs behind a sentinel. False if work keeps arriving.
+bool quiesce(FaultCluster& cluster) {
+  for (int round = 0; round < 1000; ++round) {
+    for (const std::string& name : cluster.backend_names) {
+      drain_backend_fifo(cluster, name);
+    }
+    const bool idle = std::all_of(
+        cluster.backend_names.begin(), cluster.backend_names.end(),
+        [&](const std::string& name) {
+          return cluster.pool->queue_idle(name);
+        });
+    if (idle) return true;
+  }
+  return false;
+}
+
 TEST(ClusterChaos, OwnerKilledMidWriteBurstKeepsQuorumThenReplays) {
   // All three backends own the deployment (majority quorum 2-of-3). The
   // ring's first owner dies partway through a burst of add-beacon writes —
@@ -383,6 +406,7 @@ TEST(ClusterChaos, OwnerKilledMidWriteBurstKeepsQuorumThenReplays) {
       << cluster.backends.at(victim).service->field_version("default")
       << " installs " << cluster.metrics.backend_snapshot(victim).installs
       << " replays " << cluster.metrics.backend_snapshot(victim).replays;
+  ASSERT_TRUE(quiesce(cluster));
   EXPECT_EQ(cluster.metrics.backend_snapshot(victim).installs, 1u)
       << "recovery must replay, not resync";
   EXPECT_GE(cluster.metrics.backend_snapshot(victim).replays, kWrites - 1);
@@ -454,6 +478,7 @@ TEST(ClusterChaos, PartitionBeyondRetainedWindowFallsBackToResync) {
     return cluster.backends.at(victim).service->field_version("default") ==
            1 + kWrites;
   }));
+  ASSERT_TRUE(quiesce(cluster));
   EXPECT_GE(cluster.metrics.backend_snapshot(victim).installs, 2u)
       << "beyond the window recovery is a full resync";
   EXPECT_EQ(cluster.metrics.backend_snapshot(victim).replays, 0u);

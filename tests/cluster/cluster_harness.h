@@ -78,10 +78,12 @@ class SwitchableTransport final : public serve::ClientTransport {
   std::atomic<bool>* dead_;
 };
 
-/// One in-process backend: service + manual server + kill switch.
+/// One in-process backend: service + server + kill switch. The server is
+/// manual-mode unless `options` asks for workers.
 struct BackendSim {
-  explicit BackendSim(serve::ServiceConfig config = harness_service_config())
-      : service(config), server(service) {}
+  explicit BackendSim(serve::ServiceConfig config = harness_service_config(),
+                      serve::Server::Options options = {})
+      : service(config), server(service, options) {}
 
   serve::LocalizationService service;
   serve::Server server;
@@ -131,8 +133,11 @@ struct ClusterSim {
   /// Register a backend sim so the pool's transport factory can reach it.
   /// Must run before `admin("add", name)` — the joining backend's first
   /// snapshot install creates the transport.
-  BackendSim& add_sim(const std::string& name) {
-    auto [it, inserted] = sims.emplace(name, std::make_unique<BackendSim>());
+  BackendSim& add_sim(const std::string& name,
+                      serve::Server::Options options = {}) {
+    auto [it, inserted] = sims.emplace(
+        name,
+        std::make_unique<BackendSim>(harness_service_config(), options));
     (void)inserted;
     return *it->second;
   }

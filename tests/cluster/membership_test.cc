@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "io/field_io.h"
@@ -198,6 +200,68 @@ TEST(MembershipController, AddedBackendReceivesLiveWritesByteIdentically) {
   }));
   EXPECT_EQ(cluster.sim("b3").service.handle(snapshot_fetch()).text,
             cluster.replicator->log().snapshot("default").text);
+}
+
+TEST(MembershipController, AddCatchesUpAMultiWorkerJoinerUnderLiveWrites) {
+  // The joiner runs on worker threads, so the suffix the handoff pipelines
+  // down its FIFO may execute out of order: `v+2` ahead of `v+1` answers
+  // `version-mismatch` although nothing is wrong. A writer keeps appending
+  // while the joiner takes snapshots, so every chase round has a suffix to
+  // ship. The join must still succeed and leave every owner byte-identical
+  // to the log.
+  constexpr int kDeployments = 8;
+  ClusterSim cluster({"b1", "b2"}, /*replication=*/3);
+  for (int d = 0; d < kDeployments; ++d) {
+    cluster.replicator->set_deployment("d" + std::to_string(d), field_text());
+  }
+  ASSERT_EQ(cluster.replicator->sync_all(), 2u * kDeployments);
+
+  serve::Server::Options threaded;
+  threaded.workers = 8;
+  cluster.add_sim("b3", threaded);
+
+  // Four synchronous writers keep the log growing fast enough that each
+  // chase round pipelines several entries per deployment.
+  constexpr std::uint64_t kWriters = 4;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> acked{0};
+  const auto write_loop = [&](std::uint64_t first) {
+    for (std::uint64_t seq = first; !stop.load(); seq += kWriters) {
+      serve::Request write = add_beacon_request(
+          seq, {double(seq % 50) + 5, double(seq % 37) + 5});
+      write.field = "d" + std::to_string(seq % kDeployments);
+      const auto ack = serve::parse_response(cluster.call(write));
+      if (ack && ack->status == serve::Status::kOk) ++acked;
+    }
+  };
+  std::vector<std::thread> writers;
+  for (std::uint64_t w = 1; w <= kWriters; ++w) {
+    writers.emplace_back(write_loop, w);
+  }
+  EXPECT_TRUE(wait_until([&] { return acked.load() >= 16; }));
+  const serve::Response response = cluster.admin("add", "b3");
+  stop = true;
+  for (std::thread& writer : writers) writer.join();
+
+  ASSERT_EQ(response.status, serve::Status::kOk) << response.message;
+  EXPECT_NE(response.text.find("epoch 2"), std::string::npos);
+  EXPECT_EQ(cluster.membership.epoch(), 2u);
+  EXPECT_TRUE(cluster.membership.view()->ring.contains("b3"));
+
+  // Writes acked at quorum may still be landing on the third owner.
+  for (const std::string& name : cluster.replicator->names()) {
+    const std::string authority = cluster.replicator->log().snapshot(name).text;
+    serve::Request fetch = snapshot_fetch();
+    fetch.field = name;
+    for (const std::string& owner : cluster.replicator->owners(name)) {
+      ASSERT_TRUE(wait_until([&] {
+        return cluster.sim(owner).service.field_version(name) ==
+               cluster.replicator->version(name);
+      })) << owner << " lags on " << name;
+      EXPECT_EQ(cluster.sim(owner).service.handle(fetch).text, authority)
+          << owner << " differs from the log on " << name;
+    }
+  }
 }
 
 TEST(MembershipController, DrainHandsOffStopsRoutingAndRemoves) {

@@ -131,8 +131,12 @@ TEST(Replicator, SyncBackendReplaysSuffixWhenRetained) {
   ASSERT_EQ(cluster.sim("b1").service.field_version("f"), 1u);
 
   cluster.replicator->sync_backend("b1");
-  ASSERT_TRUE(wait_until(
-      [&] { return cluster.sim("b1").service.field_version("f") == 3u; }));
+  // The counters below are bumped by ack callbacks that run on the pool
+  // worker after the backend applied the repair: wait for those too.
+  ASSERT_TRUE(wait_until([&] {
+    return cluster.sim("b1").service.field_version("f") == 3u &&
+           cluster.pool->queue_idle("b1");
+  }));
   // Replayed, not resynced: the install count stays at the startup sync.
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 1u);
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 2u);
@@ -153,8 +157,12 @@ TEST(Replicator, SyncBackendResyncsBeyondTheRetainedWindow) {
   ASSERT_FALSE(cluster.replicator->log().suffix("f", 1).has_value());
 
   cluster.replicator->sync_backend("b1");
-  ASSERT_TRUE(wait_until(
-      [&] { return cluster.sim("b1").service.field_version("f") == 3u; }));
+  // The counters below are bumped by ack callbacks that run on the pool
+  // worker after the backend applied the repair: wait for those too.
+  ASSERT_TRUE(wait_until([&] {
+    return cluster.sim("b1").service.field_version("f") == 3u &&
+           cluster.pool->queue_idle("b1");
+  }));
   // Resynced with a full snapshot: a second install, no replays.
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").installs, 2u);
   EXPECT_EQ(cluster.metrics.backend_snapshot("b1").replays, 0u);

@@ -444,6 +444,34 @@ TEST(Service, MutateRecordsTheRequestIdForReplayedDedup) {
   EXPECT_EQ(service.field_version("default"), 2u);
 }
 
+TEST(Service, StaleSnapshotInstallNeverMovesAReplicaBackwards) {
+  // A multi-worker server can run an install after mutations that were
+  // delivered behind it. The install then carries an older version and
+  // must not undo the writes the replica has since applied.
+  LocalizationService service(test_config());
+  ASSERT_EQ(service.handle(install_request(2)).status, Status::kOk);
+  ASSERT_EQ(service.handle(mutate_request(3, {{20, 20}})).status,
+            Status::kOk);
+  ASSERT_EQ(service.handle(mutate_request(4, {{40, 40}})).status,
+            Status::kOk);
+  Request fetch;
+  fetch.endpoint = Endpoint::kSnapshot;
+  fetch.field = "default";
+  const std::string before = service.handle(fetch).text;
+
+  const Response stale = service.handle(install_request(3));
+  ASSERT_EQ(stale.status, Status::kOk) << stale.message;
+  EXPECT_EQ(stale.version, 4u) << "acked at the held version";
+  EXPECT_EQ(service.field_version("default"), 4u);
+  EXPECT_EQ(service.handle(fetch).text, before);
+
+  // Version 1 is a log's base snapshot — a restarted router's first sync —
+  // so it replaces whatever the replica held.
+  ASSERT_EQ(service.handle(install_request(1)).status, Status::kOk);
+  EXPECT_EQ(service.field_version("default"), 1u);
+  EXPECT_EQ(service.handle(fetch).text, field_file_text());
+}
+
 TEST(Service, SnapshotInstallResetsDedupHistory) {
   LocalizationService service(test_config());
   service.handle(install_request(1));
