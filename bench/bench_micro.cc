@@ -1,6 +1,8 @@
 /// bench_micro — google-benchmark microbenchmarks backing the §3.2
-/// complexity claims (Random O(1), Max O(PT), Grid O(NG·PG)) and the
-/// performance-critical primitives of the evaluation pipeline.
+/// complexity claims (Random O(1), Max O(PT); Grid is O(NG·PG) in the
+/// paper's direct loop, which the tests keep as the oracle, and O(PT + NG)
+/// as implemented with prefix sums) and the performance-critical
+/// primitives of the evaluation pipeline.
 #include <benchmark/benchmark.h>
 
 #include "eval/config.h"
@@ -72,7 +74,9 @@ void BM_ProposeMax(benchmark::State& state) {
 BENCHMARK(BM_ProposeMax)->Arg(200)->Arg(100)->Arg(50);  // O(PT)
 
 void BM_ProposeGrid(benchmark::State& state) {
-  // Vary NG at fixed PT: O(NG · PG).
+  // Vary NG at fixed PT: O(PT + NG), so the O(PT) prefix-sum pass
+  // dominates and the time barely moves with NG (the paper's direct loop,
+  // O(NG · PG), grew linearly).
   World world(60, 0.0);
   const GridPlacement alg(static_cast<std::size_t>(state.range(0)));
   Rng rng(1);

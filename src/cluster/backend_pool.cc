@@ -177,7 +177,8 @@ bool BackendPool::queue_idle(const std::string& backend) const {
   const auto it = backends_.find(backend);
   if (it == backends_.end()) return true;
   std::lock_guard<std::mutex> lock(it->second->mu);
-  return it->second->queue.empty() && !it->second->busy;
+  return it->second->queue.empty() && !it->second->busy &&
+         !it->second->probe_pending;
 }
 
 bool BackendPool::enqueue(const std::string& backend, Forward forward) {

@@ -118,10 +118,10 @@ class BackendPool {
   /// still queued is failed via its callbacks. Returns false if unknown.
   bool remove_backend(const std::string& backend);
 
-  /// True when `backend`'s FIFO is empty *and* its worker is between
-  /// batches — the drain path polls this before removing a backend so
-  /// in-flight work completes rather than being failed. Unknown backends
-  /// are trivially idle.
+  /// True when `backend`'s FIFO is empty, no probe that `tick()` set is
+  /// waiting to start, *and* its worker is between batches — the drain
+  /// path polls this before removing a backend so in-flight work completes
+  /// rather than being failed. Unknown backends are trivially idle.
   bool queue_idle(const std::string& backend) const;
 
   /// Queue work on `backend`'s FIFO. Returns false — without consuming the

@@ -13,7 +13,17 @@
 /// the maximum cumulative error. "Based on the observation that adding a
 /// new beacon affects its nearby area, not just the point where it is
 /// placed" — which is why Grid, unlike Max, can improve many points at
-/// once. Complexity O(NG · PG).
+/// once.
+///
+/// The paper costs Grid at O(NG · PG): one walk over each grid's PG
+/// lattice points. That direct loop is kept as the test oracle
+/// (tests/placement/grid_oracle_test.cc). `scores` computes the same
+/// scores in O(PT + NG): one pass over the survey builds 2D prefix sums of
+/// the measured values and of the measured-point count, and each grid then
+/// costs four lookups. The values are summed in int64 fixed point (2⁻³² m
+/// units), so a grid's total is exact and its ranking does not depend on
+/// summation order; mirror-image grids tie exactly and the first in
+/// row-major order wins.
 #pragma once
 
 #include <vector>
@@ -59,7 +69,11 @@ class GridPlacement final : public PlacementAlgorithm {
     }
   };
 
-  /// Scores of all NG grids, row-major in (i, j).
+  /// Scores of all NG grids, row-major in (i, j). Each grid covers exactly
+  /// the lattice points its inclusive box contains; `points` is exact and
+  /// `cumulative_error` is within PG · 2⁻³² m of the exact sum. Throws
+  /// `CheckFailure` when PT × max|value| × 2³² exceeds 2⁶², where the
+  /// fixed-point sums could overflow.
   std::vector<GridScore> scores(const PlacementContext& ctx) const;
 
   std::size_t num_grids() const { return num_grids_; }

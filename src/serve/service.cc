@@ -345,6 +345,7 @@ Response LocalizationService::handle_locked(Deployment& deployment,
       case Endpoint::kListFields:
       case Endpoint::kVersion:
       case Endpoint::kMutate:
+      case Endpoint::kAdmin:
         // Handled before deployment lookup / before the fence; unreachable.
         return error_response(request, Status::kInternal,
                               "endpoint misrouted to a deployment");

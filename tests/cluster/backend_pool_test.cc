@@ -156,6 +156,32 @@ TEST(BackendPool, ProbeRecoveryClosesBreakerAndFiresCallback) {
   pool.stop();
 }
 
+TEST(BackendPool, QueueIdleSeesAPendingProbe) {
+  serve::ManualClock clock;
+  BackendPoolOptions options;
+  options.probe_interval_ms = 100.0;
+  options.clock_ms = clock.fn();
+
+  serve::RouterMetrics metrics;
+  metrics.add_backend("b1");
+  BackendSim sim;
+  BackendPool pool(
+      {"b1"}, options, metrics, [&sim](const std::string&) {
+        return std::make_unique<SwitchableTransport>(sim.server, sim.dead);
+      });
+  EXPECT_TRUE(pool.queue_idle("b1"));
+
+  // Not started: the probe `tick()` sets stays pending, and the FIFO is
+  // empty, but the backend is not idle until the probe has run.
+  clock.advance(150.0);
+  pool.tick();
+  EXPECT_FALSE(pool.queue_idle("b1"));
+
+  pool.start();
+  EXPECT_TRUE(wait_until([&] { return pool.queue_idle("b1"); }));
+  pool.stop();
+}
+
 TEST(BackendPool, StopFailsQueuedWork) {
   ClusterSim cluster({"b1"});
   // Kill the backend so a forward fails over to the queue-drain path or the

@@ -234,7 +234,9 @@ TEST(SurveyKernel, WrappersMatchKernel) {
     for (std::size_t i = 0; i < list.size(); ++i) {
       EXPECT_EQ(list[i].id, klist[i].id);
       // Ascending-id contract.
-      if (i > 0) EXPECT_LT(list[i - 1].id, list[i].id);
+      if (i > 0) {
+        EXPECT_LT(list[i - 1].id, list[i].id);
+      }
     }
   }
 }

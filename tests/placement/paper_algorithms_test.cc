@@ -248,7 +248,8 @@ TEST(GridAlg, NamesDistinguishVariants) {
 }
 
 TEST(GridAlg, ComplexityGrowsLinearlyInNG) {
-  // O(NG · PG): per-grid work is bounded, so score count == NG.
+  // One score per grid: O(PT + NG) as implemented (O(NG · PG) for the
+  // paper's direct loop).
   const Lattice2D lattice(AABB::square(kSide), 1.0);
   const SurveyData survey = make_survey(lattice);
   const auto ctx = PlacementContext::basic(survey, AABB::square(kSide), kR);

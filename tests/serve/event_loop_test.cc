@@ -326,6 +326,19 @@ TEST(TransportKindTest, NamesRoundTrip) {
   EXPECT_STREQ(transport_kind_name(TransportKind::kEpoll), "epoll");
 }
 
+/// The server closes a connection after it has written the last reply, so
+/// the close can reach the client after the reply does: poll for it under
+/// a deadline.
+bool peer_closes(TcpClientTransport& client) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!client.closed_by_peer()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return true;
+}
+
 struct EpollFixture {
   explicit EpollFixture(TransportOptions options = shard_options())
       : service(test_config()), server(service, server_options()) {
@@ -420,7 +433,7 @@ TEST(EpollTransport, MalformedFrameGetsBadRequestAndClose) {
   const auto response = parse_response(client.read_payload());
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, Status::kBadRequest);
-  EXPECT_TRUE(client.closed_by_peer());
+  EXPECT_TRUE(peer_closes(client));
 }
 
 TEST(EpollTransport, IdleConnectionTimesOut) {
@@ -434,14 +447,7 @@ TEST(EpollTransport, IdleConnectionTimesOut) {
   transport->start();
   {
     TcpClientTransport client("127.0.0.1", transport->port());
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    bool closed = false;
-    while (std::chrono::steady_clock::now() < deadline && !closed) {
-      closed = client.closed_by_peer();
-      if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_TRUE(closed);
+    EXPECT_TRUE(peer_closes(client));
   }
   transport->stop();
   server.shutdown();
@@ -477,14 +483,7 @@ TEST(EpollTransport, StopIsIdempotentAndDisconnectsClients) {
   fixture.transport->stop();
   fixture.transport->stop();
   EXPECT_EQ(fixture.transport->open_connections(), 0u);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool closed = false;
-  while (std::chrono::steady_clock::now() < deadline && !closed) {
-    closed = client.closed_by_peer();
-    if (!closed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_TRUE(closed);
+  EXPECT_TRUE(peer_closes(client));
 }
 
 }  // namespace

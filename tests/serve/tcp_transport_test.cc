@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -30,6 +31,19 @@ Request localize_request(std::uint64_t seq, Vec2 point) {
   request.endpoint = Endpoint::kLocalize;
   request.points = {point};
   return request;
+}
+
+/// The server closes a connection after it has written the last reply, so
+/// the close can reach the client after the reply does: poll for it under
+/// a deadline.
+bool peer_closes(TcpClientTransport& client) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!client.closed_by_peer()) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  return true;
 }
 
 struct TcpFixture {
@@ -107,7 +121,7 @@ TEST(TcpTransport, MalformedFrameGetsBadRequestAndClose) {
   ASSERT_TRUE(response.has_value());
   EXPECT_EQ(response->status, Status::kBadRequest);
   // The server cannot resynchronize a corrupt byte stream — it must close.
-  EXPECT_TRUE(client.closed_by_peer());
+  EXPECT_TRUE(peer_closes(client));
 }
 
 TEST(TcpTransport, ReadTimeoutClosesIdleConnection) {
@@ -122,17 +136,7 @@ TEST(TcpTransport, ReadTimeoutClosesIdleConnection) {
     TcpClientTransport client("127.0.0.1", transport.port());
     // Send nothing; within ~1s the idle budget expires and the server
     // closes the connection.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    bool closed = false;
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (client.closed_by_peer()) {
-        closed = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    }
-    EXPECT_TRUE(closed);
+    EXPECT_TRUE(peer_closes(client));
   }
   transport.stop();
   server.shutdown();
@@ -145,17 +149,7 @@ TEST(TcpTransport, StopIsIdempotentAndDisconnectsClients) {
   EXPECT_EQ(response.status, Status::kOk);
   fixture.transport->stop();
   fixture.transport->stop();
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  bool closed = false;
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (client.closed_by_peer()) {
-      closed = true;
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-  EXPECT_TRUE(closed);
+  EXPECT_TRUE(peer_closes(client));
 }
 
 }  // namespace
